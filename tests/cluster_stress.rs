@@ -392,6 +392,94 @@ fn general_programs_conserve_stock_under_faults_and_crash() {
     }
 }
 
+#[test]
+fn a_treaty_violation_rolled_back_at_a_partitioned_origin_survives_wal_recovery() {
+    // A treaty violation at a non-coordinator origin must leave no trace in
+    // the origin's WAL: the violating order re-runs exactly once, inside
+    // the coordinator's round. Here the origin is partitioned from the
+    // general coordinator when it violates, so the round cannot start; the
+    // origin then crashes and recovers from its WAL before the partition
+    // heals. Had the violating write reached the WAL, recovery would
+    // resurrect it, and the round's re-run would apply the order twice.
+    use homeostasis::cluster::worker::GENERAL_COORDINATOR;
+    use homeostasis::lang::programs;
+    use homeostasis::lang::Database;
+    use homeostasis::protocol::{Loc, ProgramBundle};
+
+    const REFILL: i64 = 12;
+    const GENERAL_INITIAL: i64 = 8;
+    const ORIGIN: usize = 1;
+
+    let objects: Vec<ObjId> = (0..ITEMS).map(item_obj).collect();
+    let txns: Vec<_> = objects
+        .iter()
+        .map(|o| programs::order_for_object(o.clone(), REFILL))
+        .collect();
+    let loc = Loc::from_pairs(
+        objects
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.clone(), i % SITES)),
+    );
+    let initial = Database::from_pairs(objects.iter().map(|o| (o.clone(), GENERAL_INITIAL)));
+    let bundle = ProgramBundle::from_transactions(&txns, &loc, &initial, None);
+    let mut cluster = SimCluster::new(
+        SITES,
+        ClusterConfig::new(ReplicatedMode::Homeostasis { optimizer: None })
+            .with_timer(Timer::fixed_zero()),
+        SimNetConfig::reliable(SITES, 100),
+    );
+    assert_eq!(cluster.register_program(&bundle), ITEMS as u64);
+
+    // The order program homed at the origin; replay its branch in the
+    // ledger exactly as the general conservation stress does.
+    let index = ORIGIN;
+    let order = |stock: i64| if stock <= 1 { REFILL - 1 } else { stock - 1 };
+    let mut expected: Vec<i64> = vec![GENERAL_INITIAL; ITEMS];
+    assert_ne!(ORIGIN, GENERAL_COORDINATOR);
+    cluster.partition(ORIGIN, GENERAL_COORDINATOR);
+    let mut violated = false;
+    for k in 0..(2 * GENERAL_INITIAL) {
+        let outcomes = cluster.submit_batch(ORIGIN, &[SiteOp::Transaction { index }]);
+        if outcomes.is_empty() {
+            // The violation is parked behind the partition, on its way to
+            // the coordinator's round.
+            violated = true;
+            break;
+        }
+        assert!(outcomes[0].committed, "op {k}: local commit aborted");
+        assert!(
+            !outcomes[0].synchronized,
+            "op {k}: synchronized while cut off"
+        );
+        expected[index] = order(expected[index]);
+    }
+    assert!(violated, "draining the order must violate its local treaty");
+    assert_eq!(
+        cluster.value_at(ORIGIN, &item_obj(index)),
+        expected[index],
+        "the violating write must not be visible at the origin"
+    );
+
+    cluster.kill(ORIGIN);
+    cluster.restart(ORIGIN);
+    cluster.run_until_quiescent();
+    cluster.heal_all();
+    cluster.run_until_quiescent();
+    // The parked violation committed exactly once, through the round.
+    expected[index] = order(expected[index]);
+    cluster.synchronize(0);
+    for (i, want) in expected.iter().enumerate() {
+        for site in 0..SITES {
+            assert_eq!(
+                cluster.value_at(site, &item_obj(i)),
+                *want,
+                "stock[{i}] at site {site}: ledger and folded state disagree"
+            );
+        }
+    }
+}
+
 /// Seeded mixed load over `sites` through the polled path, with every
 /// committed delta recorded in the per-item ledger. `increments_only`
 /// restricts the mix to treaty-covered work that commits without reaching
