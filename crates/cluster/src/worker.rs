@@ -603,9 +603,9 @@ impl SiteWorker {
             Ok(set) => set,
             Err(_) => return 0,
         };
-        let held = self.engine.snapshot();
         for (obj, value) in &bundle.initial {
-            if !held.contains_key(obj.as_str()) {
+            // The engine never stores a zero, so 0 means absent.
+            if self.engine.peek(obj.as_str()) == 0 {
                 self.engine
                     .write_logged(obj.as_str(), *value)
                     .expect("registration write runs between local transactions");
@@ -1189,11 +1189,14 @@ impl SiteWorker {
 
     /// Executes one registered general transaction at the head of the line.
     /// Within its local treaty the transaction commits against this site's
-    /// engine with no messages (Section 3.2's disconnected execution); a
-    /// treaty violation undoes the writes and hands the transaction to the
-    /// [`GENERAL_COORDINATOR`] for a freeze → fold → re-run → renegotiate
-    /// round. Returns `false` when the operation is now waiting on that
-    /// round (the pump must stop), `true` when it completed.
+    /// engine with no messages (Section 3.2's disconnected execution). The
+    /// treaty is checked before commit, over the transaction's staged writes
+    /// and the engine values of the other objects the treaty mentions, so
+    /// the check reads only those objects. A violation aborts the engine
+    /// transaction and hands it to the [`GENERAL_COORDINATOR`] for a
+    /// freeze → fold → re-run → renegotiate round. Returns `false` when the
+    /// operation is now waiting on that round (the pump must stop), `true`
+    /// when it completed.
     fn run_general_transaction(&mut self, index: usize, out: &mut Outbox) -> bool {
         let Some(programs) = &self.programs else {
             // No program registered: typed rejection, never a panic — wire
@@ -1201,47 +1204,38 @@ impl SiteWorker {
             self.completed.push(OpOutcome::unsupported());
             return true;
         };
-        match programs.home_site(index) {
-            Some(home) if home == self.site => {}
-            _ => {
-                // Out-of-range index, or a confused client submitted the
-                // transaction to a site that does not hold its write set
-                // (Assumption 3.1 makes that an unroutable operation).
-                self.completed.push(OpOutcome::unsupported());
-                return true;
-            }
+        if programs.home_site(index) != Some(self.site) {
+            // Out-of-range index, or a confused client submitted the
+            // transaction to a site that does not hold its write set
+            // (Assumption 3.1 makes that an unroutable operation).
+            self.completed.push(OpOutcome::unsupported());
+            return true;
         }
-        let txn = programs.transactions()[index].clone();
-        // Pre-images of the may-write set, for the violation rollback.
-        let pre: Vec<(ObjId, i64)> = txn
-            .write_set()
-            .iter()
-            .map(|obj| (obj.clone(), self.engine.peek(obj.as_str())))
-            .collect();
-        let result = match run_on_engine(&self.engine, &txn, &[]) {
-            Ok(result) => result,
-            Err(_) => {
-                self.completed.push(OpOutcome::unsupported());
-                return true;
-            }
+        let engine = &self.engine;
+        let treaty = programs.treaties().local(self.site);
+        let within_treaty = |writes: &BTreeMap<ObjId, i64>| {
+            treaty.holds_with(|obj| match writes.iter().find(|(w, _)| w.as_str() == obj) {
+                Some((_, value)) => *value,
+                None => engine.peek(obj),
+            })
         };
-        if !result.committed {
+        let txn = &programs.transactions()[index];
+        let outcome = match run_on_engine(engine, txn, &[], within_treaty) {
+            Ok(result) if result.rejected => None,
+            Ok(result) if result.committed => {
+                self.stats.local_commits += 1;
+                Some(OpOutcome::local_commit())
+            }
             // Aborted by local concurrency control: an uncommitted no-op.
-            self.completed.push(OpOutcome::default());
+            Ok(_) => Some(OpOutcome::default()),
+            Err(_) => Some(OpOutcome::unsupported()),
+        };
+        if let Some(outcome) = outcome {
+            self.completed.push(outcome);
             return true;
         }
-        let view = Database::from_pairs(self.engine.snapshot());
-        let programs = self.programs.as_ref().expect("registered above");
-        if programs.local_holds(self.site, &view) {
-            self.stats.local_commits += 1;
-            self.completed.push(OpOutcome::local_commit());
-            return true;
-        }
-        // Treaty violation: undo the offending writes (the re-run after the
-        // fold is the committed execution) and wait for the round.
-        for (obj, value) in pre {
-            self.engine.poke(obj.as_str(), value);
-        }
+        // Treaty violation: nothing was written (the re-run after the fold
+        // is the committed execution); wait for the round.
         let req = self.fresh_req();
         self.waiting = Some(req);
         out.push((
@@ -1385,8 +1379,8 @@ impl SiteWorker {
             return 0;
         };
         if let Some(index) = txn {
-            if let Some(t) = programs.transactions().get(index as usize).cloned() {
-                if let Ok(result) = run_on_engine(&self.engine, &t, &[]) {
+            if let Some(t) = programs.transactions().get(index as usize) {
+                if let Ok(result) = run_on_engine(&self.engine, t, &[], |_| true) {
                     if result.committed {
                         for (obj, value) in &result.writes {
                             global.set(obj.clone(), *value);

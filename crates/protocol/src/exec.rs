@@ -20,8 +20,22 @@ pub struct ExecResult {
     /// The objects written with their new values.
     pub writes: BTreeMap<ObjId, i64>,
     /// Whether the transaction committed (false: it was aborted because of a
-    /// lock conflict).
+    /// lock conflict, or rejected by the pre-commit check).
     pub committed: bool,
+    /// Whether the pre-commit check rejected the transaction. It was
+    /// aborted, so none of its writes reached the engine or its WAL.
+    pub rejected: bool,
+}
+
+impl ExecResult {
+    fn aborted(rejected: bool) -> Self {
+        ExecResult {
+            log: Vec::new(),
+            writes: BTreeMap::new(),
+            committed: false,
+            rejected,
+        }
+    }
 }
 
 /// Errors from engine-backed execution.
@@ -126,10 +140,16 @@ impl ExecCtx<'_> {
 /// engine transaction. Lock conflicts abort the transaction and are reported
 /// through `committed: false` in the result (the caller decides whether to
 /// retry).
+///
+/// `admit` is the pre-commit check: it sees the transaction's staged writes
+/// once the body has run, while the transaction still holds its locks. When
+/// it returns `false` the transaction aborts instead of committing
+/// (`rejected: true`). Pass `|_| true` to commit unconditionally.
 pub fn run_on_engine(
     engine: &Engine,
     txn: &Transaction,
     args: &[i64],
+    admit: impl FnOnce(&BTreeMap<ObjId, i64>) -> bool,
 ) -> Result<ExecResult, ExecError> {
     let mut handle = engine.begin();
     let params: BTreeMap<ParamId, i64> = txn
@@ -156,7 +176,7 @@ pub fn run_on_engine(
         writes: BTreeMap::new(),
     };
     match ctx.com(&txn.body) {
-        Ok(()) => {
+        Ok(()) if admit(&ctx.writes) => {
             let log = std::mem::take(&mut ctx.log);
             let writes = std::mem::take(&mut ctx.writes);
             engine.commit(&mut handle)?;
@@ -164,15 +184,16 @@ pub fn run_on_engine(
                 log,
                 writes,
                 committed: true,
+                rejected: false,
             })
+        }
+        Ok(()) => {
+            engine.abort(&mut handle)?;
+            Ok(ExecResult::aborted(true))
         }
         Err(ExecError::Engine(EngineError::WouldBlock { .. })) => {
             engine.abort(&mut handle)?;
-            Ok(ExecResult {
-                log: Vec::new(),
-                writes: BTreeMap::new(),
-                committed: false,
-            })
+            Ok(ExecResult::aborted(false))
         }
         Err(e) => {
             engine.abort(&mut handle).ok();
@@ -192,7 +213,7 @@ mod tests {
         engine.poke("x", 10);
         engine.poke("y", 13);
         let txn = programs::t1();
-        let result = run_on_engine(&engine, &txn, &[]).unwrap();
+        let result = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
         assert!(result.committed);
         assert_eq!(engine.peek("x"), 9);
         assert_eq!(result.writes.get(&ObjId::new("x")), Some(&9));
@@ -209,11 +230,11 @@ mod tests {
         let engine = Engine::new();
         engine.poke("stock[5]", 3);
         let txn = programs::micro_order_for_item(5, 100);
-        let r = run_on_engine(&engine, &txn, &[]).unwrap();
+        let r = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
         assert!(r.committed);
         assert_eq!(engine.peek("stock[5]"), 2);
         // Wrong arity is an error, not a silent misbinding.
-        let err = run_on_engine(&engine, &txn, &[1]).unwrap_err();
+        let err = run_on_engine(&engine, &txn, &[1], |_| true).unwrap_err();
         assert!(matches!(err, ExecError::Unbound(_)));
     }
 
@@ -225,10 +246,29 @@ mod tests {
         let blocker = engine.begin();
         engine.write(&blocker, "x", 99).unwrap();
         let txn = programs::remote_write_example();
-        let result = run_on_engine(&engine, &txn, &[]).unwrap();
+        let result = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
         assert!(!result.committed);
         // The blocked transaction left no trace.
         assert_eq!(engine.peek("x"), 1);
+    }
+
+    #[test]
+    fn a_rejected_transaction_leaves_no_trace() {
+        let engine = Engine::new();
+        engine.write_logged("x", 10).unwrap();
+        let txn = programs::t1();
+        let mut staged = BTreeMap::new();
+        let r = run_on_engine(&engine, &txn, &[], |writes| {
+            staged = writes.clone();
+            false
+        })
+        .unwrap();
+        assert!(!r.committed && r.rejected);
+        // The check saw the staged write; the engine never did.
+        assert_eq!(staged.get(&ObjId::new("x")), Some(&9));
+        assert_eq!(engine.peek("x"), 10);
+        engine.crash_and_recover();
+        assert_eq!(engine.peek("x"), 10, "the rejected write is not in the WAL");
     }
 
     #[test]
@@ -239,7 +279,7 @@ mod tests {
             "logger",
             seq([print(num(1)), write("a", num(5)), print(read("a"))]),
         );
-        let r = run_on_engine(&engine, &txn, &[]).unwrap();
+        let r = run_on_engine(&engine, &txn, &[], |_| true).unwrap();
         assert_eq!(r.log, vec![1, 5]);
     }
 }

@@ -121,6 +121,8 @@ fn printable_source(txn: &Transaction) -> String {
 #[derive(Debug, Clone)]
 pub struct ProgramSet {
     transactions: Vec<Transaction>,
+    /// Each transaction's home site, resolved once at registration.
+    homes: Vec<SiteId>,
     sources: Vec<String>,
     joint: JointSymbolicTable,
     loc: Loc,
@@ -170,8 +172,8 @@ impl ProgramSet {
     }
 
     /// Builds a program set directly from parsed transactions (the serial
-    /// oracle's path; trusted input, so Assumption 3.1 is debug-asserted at
-    /// execution time rather than checked here).
+    /// oracle's path; trusted input, so Assumption 3.1 is only
+    /// debug-asserted when the home sites are resolved).
     pub fn from_transactions(
         transactions: Vec<Transaction>,
         loc: Loc,
@@ -195,8 +197,21 @@ impl ProgramSet {
     ) -> Self {
         let tables: Vec<SymbolicTable> = transactions.iter().map(SymbolicTable::analyze).collect();
         let joint = JointSymbolicTable::build(&tables);
+        let homes = transactions
+            .iter()
+            .map(|txn| {
+                let site = Self::write_site(txn, &loc);
+                debug_assert!(
+                    loc.all_writes_local(txn, site),
+                    "transaction {} violates Assumption 3.1",
+                    txn.name
+                );
+                site
+            })
+            .collect();
         ProgramSet {
             transactions,
+            homes,
             sources,
             joint,
             loc,
@@ -252,14 +267,7 @@ impl ProgramSet {
     /// The site a transaction runs on: the site holding its write set
     /// (Assumption 3.1). `None` for an out-of-range index.
     pub fn home_site(&self, index: usize) -> Option<SiteId> {
-        let txn = self.transactions.get(index)?;
-        let site = Self::write_site(txn, &self.loc);
-        debug_assert!(
-            self.loc.all_writes_local(txn, site),
-            "transaction {} violates Assumption 3.1",
-            txn.name
-        );
-        Some(site)
+        self.homes.get(index).copied()
     }
 
     /// Whether `site`'s local treaty holds on its current view.

@@ -200,7 +200,7 @@ impl HomeostasisCluster {
         let site = self.home_site(txn_index);
         let txn = self.programs.transactions()[txn_index].clone();
         let engine = &self.sites[site];
-        let result = run_on_engine(engine, &txn, &[])?;
+        let result = run_on_engine(engine, &txn, &[], |_| true)?;
         if !result.committed {
             self.stats.cc_aborts += 1;
             return Ok(TxnOutcome {
@@ -318,7 +318,7 @@ impl HomeostasisCluster {
         let txn = self.programs.transactions()[violating_txn].clone();
         let mut recorded = false;
         for engine in self.sites.iter() {
-            if let Ok(result) = run_on_engine(engine, &txn, &[]) {
+            if let Ok(result) = run_on_engine(engine, &txn, &[], |_| true) {
                 if !recorded && result.committed {
                     self.history.push(CommittedRecord {
                         site: self.home_site(violating_txn),

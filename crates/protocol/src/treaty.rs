@@ -20,12 +20,21 @@ use crate::model::{Loc, SiteId};
 /// Evaluates a set of linear constraints against a database (constraint
 /// variables are object names).
 pub fn constraints_hold_on(constraints: &[LinearConstraint], db: &Database) -> bool {
+    constraints_hold_with(constraints, |v| db.get(&ObjId::new(v)))
+}
+
+/// Evaluates a set of linear constraints, looking up each mentioned object
+/// once through `value_of` (which must read an absent object as 0, as
+/// [`Database::get`] does). Only the objects the constraints mention are
+/// read, so the cost depends on the constraints, not on the database size.
+pub fn constraints_hold_with(
+    constraints: &[LinearConstraint],
+    mut value_of: impl FnMut(&str) -> i64,
+) -> bool {
     let mut assignment: BTreeMap<VarName, i64> = BTreeMap::new();
     for c in constraints {
         for v in c.vars() {
-            assignment
-                .entry(v.clone())
-                .or_insert_with(|| db.get(&ObjId::new(v.clone())));
+            assignment.entry(v.clone()).or_insert_with(|| value_of(v));
         }
     }
     constraints.iter().all(|c| c.holds(&assignment))
@@ -82,6 +91,12 @@ impl LocalTreaty {
     /// True when the treaty holds on the (site-local view of the) database.
     pub fn holds_on(&self, db: &Database) -> bool {
         constraints_hold_on(&self.constraints, db)
+    }
+
+    /// [`Self::holds_on`] over a lookup: reads only the objects the treaty
+    /// mentions (see [`constraints_hold_with`]).
+    pub fn holds_with(&self, value_of: impl FnMut(&str) -> i64) -> bool {
+        constraints_hold_with(&self.constraints, value_of)
     }
 
     /// Checks that every mentioned object really is local to the treaty's
@@ -163,6 +178,26 @@ mod tests {
         let t = GlobalTreaty::new(vec![ge("q", 1)]);
         assert!(!t.holds_on(&Database::new()));
         assert!(t.holds_on(&Database::from_pairs([("q", 5)])));
+
+        // The lookup form reads an absent object as 0 too, reads only the
+        // objects the constraints mention, and agrees with the database form.
+        let local = LocalTreaty::new(0, vec![ge("q", 1), ge("r", -1)]);
+        for db in [
+            Database::new(),
+            Database::from_pairs([("q", 5)]),
+            Database::from_pairs([("q", 5), ("r", -2), ("unrelated", 9)]),
+            Database::from_pairs([("r", 3)]),
+        ] {
+            let mut reads = Vec::new();
+            let looked_up = local.holds_with(|v| {
+                reads.push(v.to_string());
+                db.get(&ObjId::new(v))
+            });
+            assert_eq!(looked_up, local.holds_on(&db), "{db:?}");
+            assert_eq!(reads, ["q", "r"], "one read per mentioned object");
+        }
+        assert!(!local.holds_with(|_| 0));
+        assert!(local.holds_with(|v| if v == "q" { 1 } else { 0 }));
     }
 
     #[test]

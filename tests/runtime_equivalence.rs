@@ -206,17 +206,38 @@ fn general_transactions_agree_across_all_cluster_backends() {
     // L++ program executes on the threaded, simulated and TCP backends
     // with the same outcomes and the same committed state as the serial
     // `GeneralRuntime` oracle — byte-identical, per site, after the fold.
+    general_backends_agree_with_the_oracle(None, 0);
+    // The same under the benchmarked conditions: optimizer-negotiated
+    // treaties, and site engines holding thousands of objects no program
+    // mentions (the local treaty check must read only what it mentions).
+    // The lookahead is shorter than the benchmark's 10, which makes this
+    // input take minutes instead of seconds.
+    general_backends_agree_with_the_oracle(
+        Some(OptimizerConfig {
+            lookahead: 4,
+            futures: 2,
+            seed: 21,
+        }),
+        3_000,
+    );
+}
+
+/// Runs one seeded schedule of the general fixture on the serial oracle and
+/// on every cluster backend, each site engine pre-populated with `filler`
+/// unrelated objects, and asserts identical outcomes and folded values.
+fn general_backends_agree_with_the_oracle(optimizer: Option<OptimizerConfig>, filler: usize) {
     use homeostasis::protocol::{HomeostasisCluster, ProgramBundle};
     use homeostasis::runtime::GeneralRuntime;
+    use homeostasis::store::Engine;
 
     let (txns, loc, initial) = general_fixture();
-    let bundle = ProgramBundle::from_transactions(&txns, &loc, &initial, None);
+    let bundle = ProgramBundle::from_transactions(&txns, &loc, &initial, optimizer);
     let mut rng = DetRng::seed_from(0x6E6E);
     let schedule: Vec<usize> = (0..150).map(|_| rng.index(txns.len())).collect();
 
     // The serial oracle.
     let mut oracle = GeneralRuntime::new(
-        HomeostasisCluster::new(txns.clone(), loc.clone(), SITES, initial.clone(), None)
+        HomeostasisCluster::new(txns.clone(), loc.clone(), SITES, initial.clone(), optimizer)
             .with_timer(Timer::fixed_zero()),
     );
     let oracle_outcomes: Vec<_> = schedule
@@ -237,17 +258,38 @@ fn general_transactions_agree_across_all_cluster_backends() {
     oracle.synchronize(0);
     let oracle_db = oracle.cluster().global_database();
 
+    let filler_obj = |i: usize| ObjId::new(format!("filler[{i}]"));
+    let engines = || -> Vec<Engine> {
+        (0..SITES)
+            .map(|_| {
+                let engine = Engine::new();
+                for i in 0..filler {
+                    engine
+                        .write_logged(filler_obj(i).as_str(), 1 + i as i64)
+                        .expect("population write on a fresh engine");
+                }
+                engine
+            })
+            .collect()
+    };
     let config = || ClusterConfig::new(ReplicatedMode::EvenSplit).with_timer(Timer::fixed_zero());
     let backends: Vec<(&str, ClusterRuntime)> = vec![
         (
             "cluster-threaded",
-            ClusterRuntime::threaded(SITES, config()),
+            ClusterRuntime::threaded_from_engines(engines(), config()),
         ),
         (
             "cluster-sim",
-            ClusterRuntime::sim(SITES, config(), SimNetConfig::reliable(SITES, 100)),
+            ClusterRuntime::sim_from_engines(
+                engines(),
+                config(),
+                SimNetConfig::reliable(SITES, 100),
+            ),
         ),
-        ("cluster-tcp", ClusterRuntime::tcp(SITES, config())),
+        (
+            "cluster-tcp",
+            ClusterRuntime::tcp_from_engines(engines(), config()),
+        ),
     ];
     for (label, mut cluster) in backends {
         assert_eq!(
@@ -276,6 +318,15 @@ fn general_transactions_agree_across_all_cluster_backends() {
                     cluster.value_at(site, obj),
                     value,
                     "{label}: {obj} at site {site} diverged from the oracle"
+                );
+            }
+        }
+        for i in [0, filler / 2, filler.saturating_sub(1)] {
+            if i < filler {
+                assert_eq!(
+                    cluster.value_at(0, &filler_obj(i)),
+                    1 + i as i64,
+                    "{label}: unrelated object {i} changed"
                 );
             }
         }
